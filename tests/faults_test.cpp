@@ -6,6 +6,11 @@
 //  * bit-transparency: an all-zero FaultSpec (fault.drop=0) reproduces the
 //    undecorated engine bit for bit on array, geometric_skip, multinomial
 //    and sharded — the fault layer consumes zero extra randomness;
+//  * golden fault streams: every exact engine (array, geometric_skip,
+//    multinomial, sharded, ring_rle) crossed with every knob it supports
+//    (drop, oneway, churn, and all three at once) is pinned to its exact
+//    interaction count and final-count hash for a fixed seed, so any
+//    change to how an engine consumes its fault randomness shows;
 //  * degenerate knobs: fault.drop=1 makes zero state changes on every
 //    engine; churn conserves the population size exactly;
 //  * hard errors: out-of-range knobs, churn > n, churn without a
@@ -30,12 +35,15 @@
 #include "analysis/scenarios.h"
 #include "core/batch_simulation.h"
 #include "core/faults.h"
+#include "core/ring_simulation.h"
 #include "core/sharded_simulation.h"
 #include "core/simulation.h"
 #include "init/obs25_init.h"
 #include "init/optimal_silent_init.h"
+#include "init/ring_ssle_init.h"
 #include "protocols/obs25.h"
 #include "protocols/optimal_silent.h"
+#include "protocols/ring_ssle.h"
 #include "protocols/silent_nstate.h"
 #include "stat_harness.h"
 
@@ -156,6 +164,154 @@ TEST(FaultTransparency, ZeroSpecShardedMatchesPlainShardedBitForBit) {
   EXPECT_EQ(plain.interactions(), faulty.interactions());
   EXPECT_EQ(plain.state_counts(), faulty.state_counts());
 }
+
+// --- Golden fault streams ---------------------------------------------------
+//
+// The transparency tests above pin the zero-knob streams; these pin the
+// non-zero ones. Each case runs one engine under one knob setting from a
+// fixed seed for a fixed number of steps and compares the final interaction
+// count and a trajectory hash with recorded values. The FNV-1a hash folds
+// the interaction count at every checkpoint together with what changed
+// there: each step's count deltas on the count engines, the full state
+// counts every 1000 slots on the array, and the final counts everywhere.
+// It pins the whole path, not just the end state (which is the same unique
+// silent ranking for most cases). A refactor of the fault layer
+// that keeps every engine's draw order intact keeps every case green; any
+// change in what an engine draws, or when, moves the hash.
+
+std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (word >> (8 * byte)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct GoldenStream {
+  std::uint64_t interactions = 0;
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+
+  void checkpoint(std::uint64_t at, const std::vector<std::uint64_t>& counts) {
+    interactions = at;
+    hash = fnv_fold(hash, at);
+    for (std::uint64_t c : counts) hash = fnv_fold(hash, c);
+  }
+
+  void step(std::uint64_t at, const std::vector<CountDelta>& deltas) {
+    interactions = at;
+    hash = fnv_fold(hash, at);
+    for (const CountDelta& d : deltas)
+      hash = fnv_fold(hash, (std::uint64_t{d.code} << 32) ^
+                                static_cast<std::uint32_t>(d.delta));
+  }
+};
+
+FaultSpec golden_knob(const std::string& knob) {
+  FaultSpec spec;
+  if (knob == "drop" || knob == "mixed") spec.drop = 0.3;
+  if (knob == "oneway" || knob == "mixed") spec.oneway = 0.4;
+  if (knob == "churn" || knob == "mixed") spec.churn = 2.0;
+  return spec;
+}
+
+// Steps a count engine up to `steps` times (stopping early when provably
+// stuck), folding every step's deltas and then the final counts.
+template <class E>
+GoldenStream step_golden(E& sim, int steps) {
+  GoldenStream out;
+  for (int k = 0; k < steps; ++k) {
+    if (sim.step() == 0) break;
+    out.step(sim.interactions(), sim.last_deltas());
+  }
+  out.checkpoint(sim.interactions(), sim.state_counts());
+  return out;
+}
+
+GoldenStream run_golden(const std::string& engine, const std::string& knob) {
+  const std::uint64_t seed = 1300 + knob.size();
+  const FaultSpec spec = golden_knob(knob);
+  if (engine == "ring_rle") {
+    const std::uint32_t n = 64;
+    const RingSSLE proto(n);
+    RingSimulation<RingSSLE> sim(
+        proto, ring_ssle_inits().agents(proto, "uniform-random", 7), seed,
+        spec);
+    return step_golden(sim, 20000);
+  }
+  const std::uint32_t n = 64;
+  const OptimalSilentSSR proto(OptimalSilentParams::standard(n));
+  const auto agents =
+      optimal_silent_config(proto.params(), OsAdversary::kDuplicateRank, 5);
+  if (engine == "array") {
+    FaultySimulation<OptimalSilentSSR> sim(proto, agents, seed, spec);
+    GoldenStream out;
+    for (int k = 0; k < 200; ++k) {
+      sim.run(1000);
+      out.checkpoint(sim.interactions(), sim.state_counts());
+    }
+    return out;
+  }
+  const auto counts = counts_of(proto, agents);
+  if (engine == "sharded") {
+    ShardedOptions options;
+    options.shards = 4;
+    options.max_workers = 1;
+    ShardedSimulation<OptimalSilentSSR> sim(proto, counts, seed, options);
+    sim.set_faults(spec);
+    return step_golden(sim, 4000);
+  }
+  const BatchStrategy strategy = engine == "multinomial"
+                                     ? BatchStrategy::kMultinomial
+                                     : BatchStrategy::kGeometricSkip;
+  BatchSimulation<OptimalSilentSSR> sim(proto, counts, seed, strategy);
+  sim.set_faults(spec);
+  return step_golden(sim, 20000);
+}
+
+struct GoldenCase {
+  const char* engine;
+  const char* knob;
+  std::uint64_t interactions;
+  std::uint64_t hash;
+};
+
+class FaultGoldenStream : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(FaultGoldenStream, MatchesRecordedStream) {
+  const GoldenCase& c = GetParam();
+  const GoldenStream got = run_golden(c.engine, c.knob);
+  EXPECT_EQ(got.interactions, c.interactions)
+      << c.engine << " " << c.knob << " interactions";
+  EXPECT_EQ(got.hash, c.hash) << c.engine << " " << c.knob << " hash 0x"
+                              << std::hex << got.hash;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, FaultGoldenStream,
+    ::testing::Values(
+        GoldenCase{"array", "drop", 200000, 0x566ac08f719bdf73ull},
+        GoldenCase{"array", "oneway", 200000, 0x96b48019e5d8194dull},
+        GoldenCase{"array", "churn", 200000, 0xa499174c627e70b1ull},
+        GoldenCase{"array", "mixed", 200000, 0xda2e8c2b7164866full},
+        GoldenCase{"geometric_skip", "drop", 37772, 0xe741a16cd65bd8cfull},
+        GoldenCase{"geometric_skip", "oneway", 22588, 0x2844f60939bb4b66ull},
+        GoldenCase{"geometric_skip", "churn", 20996, 0x33efd3905a11a7d1ull},
+        GoldenCase{"geometric_skip", "mixed", 29095, 0x341091d6ba01c1faull},
+        GoldenCase{"multinomial", "drop", 29665, 0xb193d5a2767e7c55ull},
+        GoldenCase{"multinomial", "oneway", 117380, 0x86f58512f8856686ull},
+        GoldenCase{"multinomial", "churn", 107111, 0x9854fe18d837312ull},
+        GoldenCase{"multinomial", "mixed", 106964, 0xb91f811a2ff06853ull},
+        GoldenCase{"sharded", "drop", 30952, 0x66515d99a1751a81ull},
+        GoldenCase{"sharded", "oneway", 32000, 0xba912a5488c99351ull},
+        GoldenCase{"sharded", "churn", 32000, 0x8e0632d7dcd45761ull},
+        GoldenCase{"sharded", "mixed", 32000, 0x98f1c33f971c4348ull},
+        GoldenCase{"ring_rle", "drop", 1710919, 0xa53a0ae225aec38full},
+        GoldenCase{"ring_rle", "oneway", 221251, 0x3a3defe4133a37c5ull},
+        GoldenCase{"ring_rle", "churn", 84658, 0x98006a6c7f6a2a62ull},
+        GoldenCase{"ring_rle", "mixed", 83093, 0xf7fdf0651d29bd95ull}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return std::string(info.param.engine) + "_" + info.param.knob;
+    });
 
 // --- Degenerate knobs -------------------------------------------------------
 
