@@ -34,7 +34,6 @@
 
 #include "core/batch_simulation.h"
 #include "core/engine.h"
-#include "core/faults.h"  // ChurnReportingEngine
 #include "core/rank_tracker.h"
 #include "core/simulation.h"
 
@@ -190,12 +189,10 @@ RunResult run_engine_until_ranked(E& sim, const RunOptions& opts) {
     const AgentPair pair = sim.step();
     refresh_agent(pair.initiator);
     refresh_agent(pair.responder);
-    // Churn crashes an agent outside the scheduled pair; engines that do it
-    // report the victim so the shadow ranks stay exact.
-    if constexpr (ChurnReportingEngine<E>) {
-      const std::int64_t crashed = sim.last_crashed();
-      if (crashed >= 0) refresh_agent(static_cast<std::uint32_t>(crashed));
-    }
+    // Churn crashes an agent outside the scheduled pair; the engine
+    // reports the victim so the shadow ranks stay exact.
+    if (sim.last_crashed() >= 0)
+      refresh_agent(static_cast<std::uint32_t>(sim.last_crashed()));
     if (clock.on_state(tracker.is_permutation(), sim.parallel_time())) {
       out.stabilized = true;
       break;
@@ -318,10 +315,8 @@ RunResult run_engine_until_held(E& sim, const RunOptions& opts) {
     const AgentPair pair = sim.step();
     refresh_agent(pair.initiator);
     refresh_agent(pair.responder);
-    if constexpr (ChurnReportingEngine<E>) {
-      const std::int64_t crashed = sim.last_crashed();
-      if (crashed >= 0) refresh_agent(static_cast<std::uint32_t>(crashed));
-    }
+    if (sim.last_crashed() >= 0)
+      refresh_agent(static_cast<std::uint32_t>(sim.last_crashed()));
     const bool correct = tracker.is_permutation();
     if (!entered) {
       if (correct) {

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -44,25 +43,19 @@ inline std::uint32_t resolve_thread_count(std::uint32_t requested = 0) {
   return hw > 0 ? hw : 1;
 }
 
-// Multi-threaded seed fan-out. Deterministic by construction: trial t always
-// runs with derive_seed(base_seed, t) — an independent derived RNG stream —
-// and lands in slot t of the result vector, so the measurements are
-// bit-identical regardless of the thread count (validated in
-// tests/engine_equivalence_test.cpp). `one` must be self-contained: each
-// invocation constructs its own protocol and engine and shares no mutable
-// state with other trials. Threads defaults to resolve_thread_count()
-// (PPSIM_THREADS env var / hardware concurrency; benches plumb --threads).
-template <class F>
-std::vector<double> run_trials_parallel(std::uint32_t trials,
-                                        std::uint64_t base_seed, F&& one,
-                                        std::uint32_t threads = 0) {
+// Indexed multi-threaded trial fan-out: runs body(t) for every t in
+// [0, trials) on up to `threads` workers (resolve_thread_count() when 0).
+// Deterministic by construction when body(t) writes only slot t of its
+// outputs: trial t's work is independent of which thread runs it. Fails
+// fast: after the first exception no new trial starts, and that exception
+// is rethrown once every worker has stopped.
+template <class Body>
+void for_each_trial(std::uint32_t trials, std::uint32_t threads, Body&& body) {
   threads = resolve_thread_count(threads);
   if (threads > trials) threads = trials;
-  std::vector<double> xs(trials, 0.0);
   if (threads <= 1) {
-    for (std::uint32_t t = 0; t < trials; ++t)
-      xs[t] = one(derive_seed(base_seed, t));
-    return xs;
+    for (std::uint32_t t = 0; t < trials; ++t) body(t);
+    return;
   }
   std::atomic<std::uint32_t> next{0};
   std::atomic<bool> failed{false};
@@ -74,7 +67,7 @@ std::vector<double> run_trials_parallel(std::uint32_t trials,
       const std::uint32_t t = next.fetch_add(1);
       if (t >= trials) return;
       try {
-        xs[t] = one(derive_seed(base_seed, t));
+        body(t);
       } catch (...) {
         failed.store(true, std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(error_mutex);
@@ -88,6 +81,24 @@ std::vector<double> run_trials_parallel(std::uint32_t trials,
   for (std::uint32_t i = 0; i < threads; ++i) pool.emplace_back(worker);
   for (auto& th : pool) th.join();
   if (first_error) std::rethrow_exception(first_error);
+}
+
+// Multi-threaded seed fan-out over for_each_trial: trial t always runs
+// with derive_seed(base_seed, t) — an independent derived RNG stream — and
+// lands in slot t of the result vector, so the measurements are
+// bit-identical regardless of the thread count (validated in
+// tests/engine_equivalence_test.cpp). `one` must be self-contained: each
+// invocation constructs its own protocol and engine and shares no mutable
+// state with other trials. Threads defaults to resolve_thread_count()
+// (PPSIM_THREADS env var / hardware concurrency; benches plumb --threads).
+template <class F>
+std::vector<double> run_trials_parallel(std::uint32_t trials,
+                                        std::uint64_t base_seed, F&& one,
+                                        std::uint32_t threads = 0) {
+  std::vector<double> xs(trials, 0.0);
+  for_each_trial(trials, threads, [&](std::uint32_t t) {
+    xs[t] = one(derive_seed(base_seed, t));
+  });
   return xs;
 }
 

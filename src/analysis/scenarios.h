@@ -60,14 +60,11 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <exception>
-#include <mutex>
+#include <functional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -142,42 +139,6 @@ bool resolve_use_batch(const ScenarioSpec& spec) {
           "' is not enumerable: the batched engine cannot run it");
     return false;
   }
-}
-
-// Indexed deterministic trial fan-out (same contract as
-// run_trials_parallel: slot t is trial t whatever the thread count).
-inline void for_each_trial(std::uint32_t trials, std::uint32_t threads,
-                           const std::function<void(std::uint32_t)>& body) {
-  threads = resolve_thread_count(threads);
-  if (threads > trials) threads = trials;
-  if (threads <= 1) {
-    for (std::uint32_t t = 0; t < trials; ++t) body(t);
-    return;
-  }
-  std::atomic<std::uint32_t> next{0};
-  std::atomic<bool> failed{false};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  auto worker = [&] {
-    for (;;) {
-      if (failed.load(std::memory_order_relaxed)) return;
-      const std::uint32_t t = next.fetch_add(1);
-      if (t >= trials) return;
-      try {
-        body(t);
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::uint32_t i = 0; i < threads; ++i) pool.emplace_back(worker);
-  for (auto& th : pool) th.join();
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 // Shared trial driver: materializes the named initial condition for the
@@ -320,12 +281,6 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
           "' cannot run the sharded strategy (counters are not mergeable)");
     }
     engine_workers = resolve_thread_count(spec.threads);
-    shard_count =
-        spec.shards ? spec.shards : ShardedOptions::kDefaultShards;
-    // Mirror of the engine's clamp, so the report names the real count.
-    shard_count = std::max<std::uint32_t>(
-        1, std::min<std::uint32_t>(shard_count,
-                                   proto.population_size() / 2));
   }
   const std::uint32_t trials = spec.trials ? spec.trials : 1;
   std::vector<double> values(trials, -1.0);
@@ -371,12 +326,13 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
         } else if (sharded) {
           if constexpr (ShardableProtocol<P>) {
             ShardedOptions options;
-            options.shards = shard_count;
+            options.shards = spec.shards;
             options.max_workers = engine_workers;
             ShardedSimulation<P> sim(
                 proto, inits.counts(proto, init_name, init_seed),
                 engine_seed, options);
             if (faulted) sim.set_faults(spec.faults);
+            shard_count = sim.shards();  // the engine's clamped count
             record(sim);
           }
         } else {
@@ -387,13 +343,9 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
           record(sim);
         }
       }
-    } else if (faulted) {
-      FaultySimulation<P> sim(proto, inits.agents(proto, init_name, init_seed),
-                              engine_seed, spec.faults, topology);
-      record(sim);
     } else {
       Simulation<P> sim(proto, inits.agents(proto, init_name, init_seed),
-                        engine_seed, topology);
+                        engine_seed, spec.faults, topology);
       record(sim);
     }
   });
@@ -1232,10 +1184,8 @@ inline void register_ring_ssle(ProtocolRegistry& reg) {
                 };
                 refresh(pr.initiator);
                 refresh(pr.responder);
-                if constexpr (ChurnReportingEngine<E>) {
-                  if (sim.last_crashed() >= 0)
-                    refresh(static_cast<std::uint32_t>(sim.last_crashed()));
-                }
+                if (sim.last_crashed() >= 0)
+                  refresh(static_cast<std::uint32_t>(sim.last_crashed()));
               } else {
                 if (sim.step() == 0) {
                   // Provably stuck: uniqueness (if held) is permanent.

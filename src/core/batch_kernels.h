@@ -615,9 +615,7 @@ class UnkeyedPassiveKernel {
 template <EnumerableProtocol P>
 class ScalarActiveWeight {
  public:
-  static constexpr bool kStructured = DiagonalActiveProtocol<P> ||
-                                      KeyedPassiveProtocol<P> ||
-                                      UnkeyedPassiveProtocol<P>;
+  static constexpr bool kStructured = NullStructuredProtocol<P>;
 
   void clear() {
     diag_total_ = 0;
@@ -1151,20 +1149,6 @@ class MultinomialKernel {
     if (!pool_.built()) pool_.build(counts);
   }
 
-  // Fault injection (core/faults.h), compiled into the batch exactly: the
-  // prefix draw and participant sampling are untouched (faults change what
-  // an interaction *does*, never who interacts), and each (s1, s2)
-  // category's k repetitions are thinned by one Binomial(k, 1 - drop)
-  // draw — a dropped pair leaves both agents unchanged, exactly like a
-  // null pair. Of the survivors, Binomial(., oneway) are delivered
-  // one-way: the cached transition applies, but the responder keeps its
-  // old state. The colliding interaction replays its own per-interaction
-  // fault draws. nullptr (the default) is the zero-overhead fault-free
-  // path, bit-identical to the pre-fault kernel.
-  void set_faults(const FaultSpec* faults) {
-    faults_ = (faults != nullptr && faults->active()) ? faults : nullptr;
-  }
-
   // Keeps the occupied pool current while another strategy drives the run.
   void on_external_change(std::uint32_t code, std::int64_t delta) {
     if (pool_.built()) pool_.apply_delta(code, delta);
@@ -1190,14 +1174,24 @@ class MultinomialKernel {
   // of interactions consumed (L + 1). Requires n >= 2. `cap` > 0 truncates
   // the batch exactly as in run_batch_sparse — the engine uses it to land
   // a batch on the churn crash countdown with zero overshoot.
+  //
+  // `faults` (core/faults.h) compiles into the batch exactly: the prefix
+  // draw and participant sampling are untouched (faults change what an
+  // interaction *does*, never who interacts), and each (s1, s2) category's
+  // k repetitions are thinned by FaultClock::thin_count — a dropped pair
+  // leaves both agents unchanged, exactly like a null pair; a one-way pair
+  // applies the cached transition but the responder keeps its old state.
+  // The colliding interaction replays its own per-interaction fault draws.
+  // The fault-free default draws nothing extra.
   std::uint64_t run_batch(const P& protocol, std::vector<std::uint64_t>& counts,
                           Rng& rng, Counters& counters,
                           std::vector<CountDelta>& out_deltas,
-                          std::uint64_t cap = 0) {
+                          std::uint64_t cap = 0,
+                          const FaultClock& faults = kFaultFree) {
     ensure_built(counts);
     return run_batch_impl(protocol, protocol.population_size(),
                           DenseCounts{&counts}, rng, counters, out_deltas,
-                          cap);
+                          cap, faults);
   }
 
   // Sparse front door (see reset_sparse above): identical batch logic and
@@ -1213,9 +1207,10 @@ class MultinomialKernel {
   std::uint64_t run_batch_sparse(const P& protocol, std::uint64_t n, Rng& rng,
                                  Counters& counters,
                                  std::vector<CountDelta>& out_deltas,
-                                 std::uint64_t cap = 0) {
+                                 std::uint64_t cap = 0,
+                                 const FaultClock& faults = kFaultFree) {
     return run_batch_impl(protocol, n, NullCounts{}, rng, counters,
-                          out_deltas, cap);
+                          out_deltas, cap, faults);
   }
 
  private:
@@ -1235,7 +1230,7 @@ class MultinomialKernel {
   std::uint64_t run_batch_impl(const P& protocol, std::uint64_t n,
                                CountsSink sink, Rng& rng, Counters& counters,
                                std::vector<CountDelta>& out_deltas,
-                               std::uint64_t cap = 0) {
+                               std::uint64_t cap, const FaultClock& faults) {
     if (!prefix_.built_for(n)) prefix_.build(n);
     const std::uint64_t l = prefix_.sample(rng);
     // Exact truncation (see run_batch_sparse): l >= cap is the event that
@@ -1263,7 +1258,7 @@ class MultinomialKernel {
 
     // --- Apply the prefix per distinct ordered pair.
     for (const PairCount& pc : pair_list_)
-      apply_pair(protocol, pc.a, pc.b, pc.k, rng, counters);
+      apply_pair(protocol, pc.a, pc.b, pc.k, rng, counters, faults);
 
     if (!truncated) {
       // --- The colliding interaction. Conditioned on the prefix ending at
@@ -1292,16 +1287,8 @@ class MultinomialKernel {
       // The colliding interaction draws its own fault Bernoullis: dropped
       // means both agents return unchanged (their pool removals are undone
       // by restore_removed below); one-way means the responder keeps cb.
-      const bool f_dropped = faults_ != nullptr && faults_->drop > 0.0 &&
-                             rng.unit() < faults_->drop;
-      if (!f_dropped) {
-        const bool f_oneway = faults_ != nullptr && faults_->oneway > 0.0 &&
-                              rng.unit() < faults_->oneway;
-        State sa = protocol.decode(ca);
-        State sb = protocol.decode(cb);
-        invoke_interact(protocol, sa, sb, rng, counters);
-        const std::uint32_t na = protocol.encode(sa);
-        const std::uint32_t nb = f_oneway ? cb : protocol.encode(sb);
+      if (!faults.drops(rng)) {
+        const auto [na, nb] = faults.deliver(protocol, ca, cb, rng, counters);
         net_.add(ca, -1);
         net_.add(na, +1);
         net_.add(cb, -1);
@@ -1446,20 +1433,19 @@ class MultinomialKernel {
 
   // Applies k repetitions of the ordered pair (a, b): net count deltas,
   // touched-multiset bookkeeping, counters. Under faults the k repetitions
-  // are thinned exactly: drops are i.i.d. per interaction, so the survivor
-  // count is Binomial(k, 1 - drop) and the one-way count Binomial(.,
-  // oneway); dropped pairs contribute no state change and no counters but
-  // their agents are still touched (they participated in the prefix, with
-  // unchanged states), so the collision replay sees the right multiset.
+  // are thinned exactly (FaultClock::thin_count); dropped pairs contribute
+  // no state change and no counters but their agents are still touched
+  // (they participated in the prefix, with unchanged states), so the
+  // collision replay sees the right multiset.
   void apply_pair(const P& protocol, std::uint32_t a, std::uint32_t b,
-                  std::uint64_t k, Rng& rng, Counters& counters) {
+                  std::uint64_t k, Rng& rng, Counters& counters,
+                  const FaultClock& faults) {
     std::uint64_t survivors = k;
     std::uint64_t oneway = 0;
-    if (faults_ != nullptr) {
-      if (faults_->drop > 0.0)
-        survivors = sample_binomial(rng, k, 1.0 - faults_->drop);
-      if (faults_->oneway > 0.0 && survivors > 0)
-        oneway = sample_binomial(rng, survivors, faults_->oneway);
+    if (faults.active()) {
+      const FaultClock::Delivered d = faults.thin_count(k, rng);
+      survivors = d.delivered;
+      oneway = d.one_way;
       if (k > survivors) record_transition(a, b, a, b, k - survivors);
       if (survivors == 0) return;
     }
@@ -1516,7 +1502,6 @@ class MultinomialKernel {
 
   OccupiedPool pool_;
   CollisionPrefixSampler prefix_;
-  const FaultSpec* faults_ = nullptr;  // non-null iff fault injection is on
   FlatMap64 pairs_;    // (a << 32 | b) -> repetitions (per-draw grouping)
   FlatMap64 net_;      // code -> net count delta (int64 bits)
   FlatMap64 touched_;  // code -> touched agents currently in that state

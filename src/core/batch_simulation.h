@@ -81,7 +81,7 @@ struct BatchStepStats {
 };
 
 template <EnumerableProtocol P>
-class BatchSimulation {
+class BatchSimulation : public CountEngineLoop<BatchSimulation<P>> {
  public:
   using State = typename P::State;
   using Counters = ProtocolCounters<P>;
@@ -149,32 +149,9 @@ class BatchSimulation {
   // memorylessness. An all-zero spec is a no-op: the engine consumes
   // exactly the fault-free randomness stream, bit for bit.
   void set_faults(const FaultSpec& faults) {
-    faults.validate();
-    constexpr bool structured = DiagonalActiveProtocol<P> ||
-                                KeyedPassiveProtocol<P> ||
-                                UnkeyedPassiveProtocol<P>;
-    if (faults.active() && !structured)
-      throw std::invalid_argument(
-          "count-engine fault injection requires a protocol with declared "
-          "null structure (diagonal / keyed / unkeyed passive); use "
-          "engine=array");
-    faults_ = faults;
-    faults_active_ = faults.active();
-    multi_kernel_.set_faults(faults_active_ ? &faults_ : nullptr);
-    crash_q_ = 0.0;
-    crash_countdown_ = 0;
-    if (faults.churn > 0.0) {
-      if constexpr (!ChurnableProtocol<P>) {
-        throw std::invalid_argument(
-            "fault.churn needs a protocol with a churn_state()");
-      } else {
-        crash_q_ = faults.crash_probability(population_size());
-        churn_code_ = protocol_.encode(protocol_.churn_state());
-        crash_countdown_ = sample_geometric(rng_, crash_q_);
-      }
-    }
+    faults_ = FaultClock(protocol_, faults, /*count_compiled=*/true);
+    faults_.start(rng_);
   }
-  const FaultSpec& faults() const { return faults_; }
 
   // The strategy the next step will actually run: kAuto delegates to the
   // StrategyController with the measured per-round inputs (population,
@@ -186,8 +163,7 @@ class BatchSimulation {
   // cache-hot geometric path, which is what wins there anyway.
   BatchStrategy resolved_strategy() const {
     if (strategy_ != BatchStrategy::kAuto) return strategy_;
-    if constexpr (DiagonalActiveProtocol<P> || KeyedPassiveProtocol<P> ||
-                  UnkeyedPassiveProtocol<P>) {
+    if constexpr (NullStructuredProtocol<P>) {
       if (!multi_kernel_.built()) return BatchStrategy::kGeometricSkip;
       return StrategyController::step_strategy(
           population_size(), active_weight(),
@@ -207,8 +183,7 @@ class BatchSimulation {
   // For diagonal and passive-structured protocols: true iff no future
   // interaction can change the configuration (the configuration is silent).
   bool silent() const
-    requires DiagonalActiveProtocol<P> || KeyedPassiveProtocol<P> ||
-             UnkeyedPassiveProtocol<P>
+    requires NullStructuredProtocol<P>
   {
     return active_weight() == 0;
   }
@@ -219,6 +194,7 @@ class BatchSimulation {
   // zero active weight (structured protocols), or every agent in one null
   // self-pairing state (null-aware general protocols).
   std::uint64_t step() {
+    last_deltas_.clear();
     if (resolved_strategy() == BatchStrategy::kMultinomial) {
       const std::uint64_t consumed = step_multinomial();
       if (consumed != 0) trace_.note(StrategyArm::kMultinomial, consumed);
@@ -237,28 +213,6 @@ class BatchSimulation {
     }
     if (consumed != 0) trace_.note(StrategyArm::kGeometricSkip, consumed);
     return consumed;
-  }
-
-  // Runs until at least `count` interactions have elapsed (a final batch
-  // may overshoot; the overshoot is real simulated time, not error).
-  void run(std::uint64_t count) {
-    const std::uint64_t target = interactions_ + count;
-    while (interactions_ < target)
-      if (step() == 0) break;  // silent: nothing will ever change again
-  }
-
-  // Runs until done(*this) is true, checking after every configuration
-  // change (null runs cannot flip a configuration predicate; a multinomial
-  // batch is checked at its end). Returns true iff the predicate fired
-  // before `max_interactions`.
-  template <class Done>
-  bool run_until(Done&& done, std::uint64_t max_interactions) {
-    if (done(*this)) return true;
-    while (interactions_ < max_interactions) {
-      if (step() == 0) return done(*this);
-      if (done(*this)) return true;
-    }
-    return false;
   }
 
  private:
@@ -305,9 +259,7 @@ class BatchSimulation {
     // treats the missing pool as "skip"). An engine pinned to the
     // geometric path never batches and skips the pool entirely. (A later
     // set_strategy() is still safe: run_batch builds lazily.)
-    constexpr bool structured = DiagonalActiveProtocol<P> ||
-                                KeyedPassiveProtocol<P> ||
-                                UnkeyedPassiveProtocol<P>;
+    constexpr bool structured = NullStructuredProtocol<P>;
     constexpr bool auto_can_batch = structured || !NullPairProtocol<P>;
     const bool may_batch =
         strategy_ == BatchStrategy::kMultinomial ||
@@ -408,20 +360,11 @@ class BatchSimulation {
     fenwicks_dirty_ = false;
   }
 
-  // Applies interact() to one (a, b) state pair drawn by the scheduler and
-  // folds the result back into the counts. Under fault injection the
-  // one-way draw happens here (drop is folded into the wait upstream): the
-  // transition runs in full — counters included, per the FaultSpec
-  // convention — but the responder keeps its old state.
+  // Delivers one (a, b) state pair drawn by the scheduler (one-way drawn
+  // here; drop is folded into the wait upstream) and folds the result
+  // back into the counts.
   void apply_interaction(std::uint32_t a, std::uint32_t b) {
-    last_deltas_.clear();
-    const bool one_way = faults_active_ && faults_.oneway > 0.0 &&
-                         rng_.unit() < faults_.oneway;
-    State sa = protocol_.decode(a);
-    State sb = protocol_.decode(b);
-    invoke_interact(protocol_, sa, sb, rng_, counters_);
-    const std::uint32_t na = protocol_.encode(sa);
-    const std::uint32_t nb = one_way ? b : protocol_.encode(sb);
+    const auto [na, nb] = faults_.deliver(protocol_, a, b, rng_, counters_);
     if (na != a) {
       apply_count_delta(a, -1);
       apply_count_delta(na, +1);
@@ -435,14 +378,14 @@ class BatchSimulation {
   // --- Multinomial batch step ----------------------------------------------
 
   std::uint64_t step_multinomial() {
-    const bool churn_on = crash_q_ > 0.0;
-    if constexpr (DiagonalActiveProtocol<P> || KeyedPassiveProtocol<P> ||
-                  UnkeyedPassiveProtocol<P>) {
-      if (active_weight() == 0 || (faults_active_ && faults_.drop >= 1.0)) {
+    if constexpr (NullStructuredProtocol<P>) {
+      if (active_weight() == 0 || faults_.spec().drop >= 1.0) {
         // Silent (or every interaction dropped): only churn can act.
-        last_deltas_.clear();
-        if (!churn_on) return 0;
-        return crash_fast_forward();
+        if (!faults_.churn_on()) return 0;
+        const std::uint64_t consumed = faults_.fast_forward(rng_, crash());
+        interactions_ += consumed;
+        stats_.batched += consumed;
+        return consumed;
       }
     } else if constexpr (NullPairProtocol<P>) {
       // The only stuck configuration a structureless protocol can certify:
@@ -451,104 +394,56 @@ class BatchSimulation {
       std::uint32_t only;
       if (multi_kernel_.single_occupied_code(only)) {
         const State s = protocol_.decode(only);
-        if (protocol_.is_null_pair(s, s)) {
-          last_deltas_.clear();
-          return 0;
-        }
+        if (protocol_.is_null_pair(s, s)) return 0;
       }
     }
-    last_deltas_.clear();
     // With churn on, the batch is capped at the crash countdown: the crash
     // must land at its exact slot, and it changes the counts the next
     // batch's prefix law is computed from.
-    const std::uint64_t consumed = multi_kernel_.run_batch(
-        protocol_, counts_, rng_, counters_, last_deltas_,
-        churn_on ? crash_countdown_ : 0);
+    const std::uint64_t consumed =
+        multi_kernel_.run_batch(protocol_, counts_, rng_, counters_,
+                                last_deltas_, faults_.countdown(), faults_);
     for (const CountDelta& d : last_deltas_) note_lazy_delta(d.code, d.delta);
     interactions_ += consumed;
     stats_.batched += consumed - 1;
     ++stats_.effective;
     ++stats_.multinomial_batches;
-    if (churn_on) {
-      crash_countdown_ -= consumed;
-      maybe_crash_after_slot();
-    }
+    faults_.elapse(consumed, rng_, crash());
     return consumed;
   }
 
-  // --- Churn ---------------------------------------------------------------
-
-  // End-of-slot crash: reset one uniformly random agent to the protocol's
-  // boot state. The eager count update requires clean Fenwick trees (an
-  // eager delta on a lazily-dirty code would be double-counted at the next
-  // resync), and it appends to last_deltas_ so rank trackers observing the
-  // count stream see churn like any other transition.
-  void crash_uniform_agent() {
-    if constexpr (ChurnableProtocol<P>) {
+  // End-of-slot crash callback for the fault clock: reset one uniformly
+  // random agent to the protocol's boot state. The eager count update
+  // requires clean Fenwick trees (an eager delta on a lazily-dirty code
+  // would be double-counted at the next resync), and it appends to
+  // last_deltas_ so rank trackers observing the count stream see churn
+  // like any other transition.
+  auto crash() {
+    return [this] {
       resync_fenwicks();
       const std::uint32_t victim =
           count_sampler_.find(rng_.below(population_size()));
-      if (victim != churn_code_) {
+      if (victim != faults_.churn_code()) {
         apply_count_delta(victim, -1);
-        apply_count_delta(churn_code_, +1);
+        apply_count_delta(faults_.churn_code(), +1);
       }
-    }
-  }
-
-  void maybe_crash_after_slot() {
-    if (crash_q_ > 0.0 && crash_countdown_ == 0) {
-      crash_uniform_agent();
-      crash_countdown_ = sample_geometric(rng_, crash_q_);
-    }
-  }
-
-  // No changeful interaction can precede the next crash: consume the
-  // countdown's null slots, crash at the countdown's own slot, redraw.
-  // Always consumes >= 1 slot, so a churning engine never reports stuck.
-  std::uint64_t crash_fast_forward() {
-    last_deltas_.clear();
-    const std::uint64_t consumed = crash_countdown_;
-    interactions_ += consumed;
-    stats_.batched += consumed;
-    crash_countdown_ = 0;
-    maybe_crash_after_slot();
-    return consumed;
+    };
   }
 
   // --- Geometric-skip steps ------------------------------------------------
 
-  // Shared geometric-skip core: wait Geometric(p_eff) until the next
-  // changeful slot, where p_eff = (w / n(n-1)) * (1 - drop). Dropping is
-  // uniform thinning, so it scales the changeful-slot rate without
-  // disturbing the conditional active-pair distribution — the sampler
-  // callback is fault-agnostic. With churn on, a wait overshooting the
-  // crash countdown is cut at the crash (exact by memorylessness: the
-  // crash changes the active weight, and the residual wait is recomputed
-  // from the fresh counts on the next step).
-  //
-  // Fault-free bit-identity: sample_geometric returns 1 without touching
-  // the rng when p >= 1, so calling it unconditionally reproduces the old
-  // `wait = 1` saturated-weight shortcut of the keyed/unkeyed paths
-  // exactly.
+  // Shared geometric-skip core (FaultClock::skip): wait until the next
+  // changeful slot at rate w / n(n-1), thinned by drop and cut at churn
+  // crashes, then let `sample_apply` draw and apply the active pair.
+  // Dropping is uniform thinning, so the sampler callback is fault-agnostic.
   template <class SampleApply>
   std::uint64_t geometric_step(std::uint64_t w, SampleApply&& sample_apply) {
-    const bool churn_on = crash_q_ > 0.0;
-    double p = static_cast<double>(w) / ordered_pairs();
-    if (faults_active_) p *= 1.0 - faults_.drop;
-    if (w == 0 || p <= 0.0) {  // silent (or drop == 1): only churn can act
-      last_deltas_.clear();
-      if (!churn_on) return 0;  // silent forever
-      return crash_fast_forward();
-    }
-    const std::uint64_t wait = sample_geometric(rng_, p);
-    if (churn_on && wait > crash_countdown_) return crash_fast_forward();
-    interactions_ += wait;
-    stats_.batched += wait - 1;
-    ++stats_.effective;
-    if (churn_on) crash_countdown_ -= wait;
-    sample_apply();
-    maybe_crash_after_slot();
-    return wait;
+    const auto [slots, delivered] =
+        faults_.skip(rng_, w, ordered_pairs(), sample_apply, crash());
+    interactions_ += slots;
+    stats_.batched += slots - (delivered ? 1 : 0);
+    if (delivered) ++stats_.effective;
+    return slots;
   }
 
   // Diagonal fast path: every non-null pair has equal states, so the wait
@@ -611,7 +506,6 @@ class BatchSimulation {
           // (a, b) is the only drawable pair (all agents share one state)
           // and it is null: the configuration can never change again.
           // Signal silence exactly like the diagonal path does.
-          last_deltas_.clear();
           return 0;
         }
         // Run of consecutive (a, b) draws, first included: Geometric in
@@ -655,11 +549,7 @@ class BatchSimulation {
   std::vector<CountDelta> last_deltas_;
   FlatMap64 dirty_codes_;  // code -> count the Fenwick trees still reflect
   bool fenwicks_dirty_ = false;
-  FaultSpec faults_{};  // all-zero (and bit-transparent) unless set_faults()
-  bool faults_active_ = false;
-  double crash_q_ = 0.0;  // per-slot crash probability churn / n
-  std::uint64_t crash_countdown_ = 0;  // slots until the next crash
-  std::uint32_t churn_code_ = 0;       // encode(churn_state()), churn only
+  FaultClock faults_;  // fault-free (and bit-transparent) unless set_faults()
   [[no_unique_address]] Counters counters_{};
 };
 

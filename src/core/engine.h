@@ -241,6 +241,38 @@ struct StrategyController {
   }
 };
 
+// The run loop every count engine shares (CRTP: `Derived` supplies step(),
+// returning the interactions it consumed with 0 = provably stuck, and
+// interactions()). Whatever one step covers — a skipped null stretch, a
+// multinomial batch, a sharded round, a tau leap — is real simulated time,
+// so a final step may overshoot a target, and a predicate is observed at
+// step ends (null stretches cannot flip a configuration predicate).
+template <class Derived>
+class CountEngineLoop {
+ public:
+  // Runs until at least `count` interactions have elapsed.
+  void run(std::uint64_t count) {
+    Derived& sim = static_cast<Derived&>(*this);
+    const std::uint64_t target = sim.interactions() + count;
+    while (sim.interactions() < target)
+      if (sim.step() == 0) break;  // stuck: nothing will ever change again
+  }
+
+  // Runs until done(sim) is true, checked before the first step and after
+  // every step. Returns true iff the predicate fired before
+  // `max_interactions`.
+  template <class Done>
+  bool run_until(Done&& done, std::uint64_t max_interactions) {
+    Derived& sim = static_cast<Derived&>(*this);
+    if (done(sim)) return true;
+    while (sim.interactions() < max_interactions) {
+      if (sim.step() == 0) return done(sim);
+      if (done(sim)) return true;
+    }
+    return false;
+  }
+};
+
 // Concept-probe predicate (requires-expressions cannot contain lambdas).
 struct NeverDone {
   template <class E>
@@ -271,11 +303,14 @@ concept CountEngine = Engine<E> && requires(E e, const E ce) {
 };
 
 // Engines that own an explicit agent array and schedule one ordered agent
-// pair per step.
+// pair per step. last_crashed() names the agent a churn crash reset at the
+// end of the last step (-1 if none): it sits outside the returned pair, so
+// trackers following the array re-read it too.
 template <class E>
 concept AgentArrayEngine = Engine<E> && requires(E e, const E ce) {
   { ce.states() };
   { e.step() } -> std::same_as<AgentPair>;
+  { ce.last_crashed() } -> std::convertible_to<std::int64_t>;
 };
 
 // Count engines with a runtime-selectable batching strategy. strategy() is

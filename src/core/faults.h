@@ -33,27 +33,25 @@
 // consumes zero extra randomness, so the undecorated engine is reproduced
 // bit for bit.
 //
-// Per-slot law (identical on every engine; the count engines compile it
-// exactly — see core/batch_simulation.h and core/sharded_simulation.h):
+// Per-slot law (identical on every engine; FaultClock below is the one
+// compilation of it that every exact engine calls):
 //   1. an ordered pair is scheduled uniformly;
 //   2. with prob `drop` the interaction is lost, else with prob `oneway`
 //      it is delivered one-way, else it is delivered in full;
 //   3. with prob q = churn / n one uniformly random agent crashes.
 // The crash times are materialized as a geometric countdown over slots
-// (memoryless, so truncating a count-engine batch at the countdown and
-// redrawing is exact — the same argument the sharded engine already uses
-// for its per-round geometric waits).
+// (memoryless, so truncating a count-engine wait or batch at the countdown
+// and redrawing is exact — the same argument the sharded engine already
+// uses for its per-round geometric waits).
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
+#include "core/discrete_samplers.h"  // sample_binomial
 #include "core/protocol.h"
-#include "core/rng.h"
-#include "core/scheduler.h"
-#include "core/topology.h"
+#include "core/rng.h"  // sample_geometric
 
 namespace ppsim {
 
@@ -101,140 +99,186 @@ struct FaultSpec {
   }
 };
 
-// Agent-array engine with the fault layer woven into the pair step: the
-// ground truth the count-engine fault compilations are validated against.
-// Satisfies AgentArrayEngine; on top of the Simulation<P> contract it
-// exposes last_crashed() so rank trackers can follow churn (a crash
-// touches an agent outside the returned pair).
-template <Protocol P>
-class FaultySimulation {
+// The fault law compiled once, for every exact engine. Built from a
+// FaultSpec against the engine's protocol (which validates the pair); a
+// default-constructed clock is fault-free, and every method on it then
+// consumes zero randomness, so engines call it unconditionally.
+//
+// What it owns:
+//   * the per-interaction law: drop as a Bernoulli (drops) or as thinning
+//     of a changeful-slot probability (thin) or of k repetitions of one
+//     pair (thin_count), and the one-way draw (one_way, inside deliver);
+//   * churn as a geometric countdown over slots: start() draws the first
+//     crash time, elapse() counts slots off and fires the engine's crash
+//     callback at the countdown's own slot (then redraws), countdown()
+//     caps a wait or batch so a crash lands exactly, fast_forward()
+//     consumes a silent stretch up to and including the next crash;
+//   * skip(): the geometric-skip step shared by the clique and ring count
+//     engines, composed of all of the above.
+// Crash callbacks are template parameters, so everything inlines.
+class FaultClock {
  public:
-  using State = typename P::State;
-  using Counters = ProtocolCounters<P>;
+  constexpr FaultClock() = default;
 
-  FaultySimulation(P protocol, std::vector<State> initial, std::uint64_t seed,
-                   const FaultSpec& faults)
-      : FaultySimulation(std::move(protocol), std::move(initial), seed,
-                         faults, Topology()) {}
-
-  // Interaction-graph variant: pairs come from the topology's uniform-edge
-  // sampler (core/topology.h). The fault law composes unchanged — drop /
-  // oneway / churn act on the scheduled slot whatever graph produced it.
-  FaultySimulation(P protocol, std::vector<State> initial, std::uint64_t seed,
-                   const FaultSpec& faults, Topology topology)
-      : protocol_(std::move(protocol)),
-        states_(std::move(initial)),
-        topology_(topology.population_size() == 0
-                      ? Topology::complete(protocol_.population_size())
-                      : std::move(topology)),
-        rng_(seed),
-        spec_(faults) {
-    if (states_.size() != protocol_.population_size())
+  // `count_compiled`: the engine folds drop into skip probabilities over
+  // the protocol's declared null structure, so a faulted run on a protocol
+  // without one is a hard error pointing at the array engine.
+  template <Protocol P>
+  FaultClock(const P& protocol, const FaultSpec& spec, bool count_compiled)
+      : spec_(spec), active_(spec.active()) {
+    spec_.validate();
+    if (count_compiled && !NullStructuredProtocol<P> && active_)
       throw std::invalid_argument(
-          "initial configuration size != population size");
-    if (topology_.population_size() != protocol_.population_size())
-      throw std::invalid_argument(
-          "topology population size != protocol population size");
-    const double q = spec_.crash_probability(protocol_.population_size());
+          "count-engine fault injection requires a protocol with declared "
+          "null structure (diagonal / keyed / unkeyed passive); use "
+          "engine=array");
     if (spec_.churn > 0.0) {
-      if constexpr (!ChurnableProtocol<P>)
+      if constexpr (!ChurnableProtocol<P>) {
         throw std::invalid_argument(
             "fault.churn needs a protocol with a churn_state()");
-      crash_q_ = q;
-      crash_countdown_ = sample_geometric(rng_, crash_q_);
-    }
-  }
-
-  std::uint32_t population_size() const {
-    return protocol_.population_size();
-  }
-  const std::vector<State>& states() const { return states_; }
-  P& protocol() { return protocol_; }
-  const P& protocol() const { return protocol_; }
-  const Counters& counters() const { return counters_; }
-  const FaultSpec& faults() const { return spec_; }
-  const Topology& topology() const { return topology_; }
-
-  std::uint64_t interactions() const { return interactions_; }
-  double parallel_time() const {
-    return static_cast<double>(interactions_) /
-           static_cast<double>(population_size());
-  }
-
-  // Agent crashed by the last step's end-of-slot churn draw, or -1. At
-  // most one agent can crash per slot (the countdown fires once).
-  std::int64_t last_crashed() const { return last_crashed_; }
-
-  std::vector<std::uint64_t> state_counts() const
-    requires EnumerableProtocol<P>
-  {
-    std::vector<std::uint64_t> counts(protocol_.num_states(), 0);
-    for (const State& s : states_) ++counts[protocol_.encode(s)];
-    return counts;
-  }
-
-  // One slot of the per-slot law. Every fault draw is guarded by its knob,
-  // so an all-zero FaultSpec replays the undecorated Simulation<P> stream
-  // bit for bit.
-  AgentPair step() {
-    const AgentPair pair = topology_.sample(rng_);
-    const bool dropped = spec_.drop > 0.0 && rng_.unit() < spec_.drop;
-    if (!dropped) {
-      if (spec_.oneway > 0.0 && rng_.unit() < spec_.oneway) {
-        State a = states_[pair.initiator];
-        State b = states_[pair.responder];
-        invoke_interact(protocol_, a, b, rng_, counters_);
-        states_[pair.initiator] = a;  // the responder's reply is lost
       } else {
-        invoke_interact(protocol_, states_[pair.initiator],
-                        states_[pair.responder], rng_, counters_);
+        crash_q_ = spec_.crash_probability(protocol.population_size());
+        if constexpr (EnumerableProtocol<P>)
+          churn_code_ = protocol.encode(protocol.churn_state());
       }
     }
-    ++interactions_;
-    last_crashed_ = -1;
-    if (crash_countdown_ > 0 && --crash_countdown_ == 0) {
-      const auto victim =
-          static_cast<std::uint32_t>(rng_.below(population_size()));
-      if constexpr (ChurnableProtocol<P>)
-        states_[victim] = protocol_.churn_state();
-      last_crashed_ = victim;
-      crash_countdown_ = sample_geometric(rng_, crash_q_);
-    }
-    return pair;
   }
 
-  void run(std::uint64_t count) {
-    for (std::uint64_t k = 0; k < count; ++k) step();
+  const FaultSpec& spec() const { return spec_; }
+  bool active() const { return active_; }
+  bool churn_on() const { return crash_q_ > 0.0; }
+  double crash_probability() const { return crash_q_; }
+  std::uint32_t churn_code() const { return churn_code_; }  // churn only
+
+  // --- per-interaction law ---------------------------------------------
+
+  // Bernoulli(drop): this slot's interaction is lost.
+  bool drops(Rng& rng) const {
+    return spec_.drop > 0.0 && rng.unit() < spec_.drop;
   }
 
-  template <class Done>
-  bool run_until(Done&& done, std::uint64_t max_interactions) {
-    while (interactions_ < max_interactions) {
-      step();
-      if (done(*this)) return true;
+  // Bernoulli(oneway): this delivered interaction loses its reply.
+  bool one_way(Rng& rng) const {
+    return spec_.oneway > 0.0 && rng.unit() < spec_.oneway;
+  }
+
+  // Drop as uniform thinning of a changeful-slot probability: a dropped
+  // pair is a null pair, so the conditional active-pair law is untouched.
+  // Exact when drop = 0 (p * 1.0 == p).
+  double thin(double p) const { return p * (1.0 - spec_.drop); }
+
+  // Drop and one-way over k repetitions of one ordered pair: drops are
+  // i.i.d., so Binomial(k, 1 - drop) are delivered, and of those
+  // Binomial(., oneway) one-way.
+  struct Delivered {
+    std::uint64_t delivered;
+    std::uint64_t one_way;
+  };
+  Delivered thin_count(std::uint64_t k, Rng& rng) const {
+    Delivered out{k, 0};
+    if (spec_.drop > 0.0) out.delivered = sample_binomial(rng, k, 1.0 - spec_.drop);
+    if (spec_.oneway > 0.0 && out.delivered > 0)
+      out.one_way = sample_binomial(rng, out.delivered, spec_.oneway);
+    return out;
+  }
+
+  // Delivers one scheduled interaction between the coded states a
+  // (initiator) and b (responder): draws one-way, then decodes, runs the
+  // transition (counters recorded in full, the FaultSpec convention) and
+  // encodes. On a one-way delivery the responder keeps b. Returns the new
+  // (initiator, responder) codes.
+  template <EnumerableProtocol P>
+  std::pair<std::uint32_t, std::uint32_t> deliver(
+      const P& protocol, std::uint32_t a, std::uint32_t b, Rng& rng,
+      ProtocolCounters<P>& counters) const {
+    const bool reply_lost = one_way(rng);
+    typename P::State sa = protocol.decode(a);
+    typename P::State sb = protocol.decode(b);
+    invoke_interact(protocol, sa, sb, rng, counters);
+    return {protocol.encode(sa), reply_lost ? b : protocol.encode(sb)};
+  }
+
+  // --- churn countdown -------------------------------------------------
+
+  // Draws the first crash time. Engines with a slot countdown call this
+  // once, before their first step.
+  void start(Rng& rng) {
+    if (churn_on()) countdown_ = sample_geometric(rng, crash_q_);
+  }
+
+  // Slots until the next crash, counting the crash slot itself; 0 iff
+  // churn is off. A wait or batch of at most countdown() slots never
+  // skips past a crash.
+  std::uint64_t countdown() const { return countdown_; }
+
+  // Counts off `slots` (at most countdown()) elapsed slots; when the
+  // countdown hits zero the crash lands at the end of this slot: `crash`
+  // runs (it draws and resets the victim) and the next crash time is
+  // drawn.
+  template <class Crash>
+  void elapse(std::uint64_t slots, Rng& rng, Crash&& crash) {
+    if (countdown_ == 0) return;  // churn off
+    countdown_ -= slots;
+    if (countdown_ == 0) {
+      crash();
+      countdown_ = sample_geometric(rng, crash_q_);
     }
-    return false;
+  }
+
+  // No changeful slot can precede the next crash: consume the countdown's
+  // null slots, crash at its own slot, redraw. Returns the slots consumed
+  // (>= 1, so a churning engine never reports stuck). Churn only.
+  template <class Crash>
+  std::uint64_t fast_forward(Rng& rng, Crash&& crash) {
+    const std::uint64_t slots = countdown_;
+    elapse(slots, rng, crash);
+    return slots;
+  }
+
+  // --- the geometric-skip step -----------------------------------------
+
+  struct Skip {
+    std::uint64_t slots;  // slots consumed; 0 iff stuck forever
+    bool delivered;       // the last slot ran `interact` (else a crash)
+  };
+
+  // Advances to the next changeful slot of a count engine whose
+  // fault-free changeful-slot probability is w / pairs (w = 0: silent).
+  // The wait is Geometric(thin(w / pairs)); `interact` simulates the
+  // changeful slot (drawing its own pair and one-way). With churn on, a
+  // wait overshooting the countdown is cut at the crash instead (exact by
+  // memorylessness: the crash changes w, and the residual wait is redrawn
+  // from the fresh configuration on the next call), and a silent or
+  // fully-dropped configuration fast-forwards to the next crash.
+  //
+  // sample_geometric returns 1 without touching the rng when p >= 1, so a
+  // saturated weight costs no draw.
+  template <class Interact, class Crash>
+  Skip skip(Rng& rng, std::uint64_t w, double pairs, Interact&& interact,
+            Crash&& crash) {
+    const double p = thin(static_cast<double>(w) / pairs);
+    if (w == 0 || p <= 0.0) {  // silent (or drop == 1): only churn can act
+      if (!churn_on()) return {0, false};
+      return {fast_forward(rng, crash), false};
+    }
+    const std::uint64_t wait = sample_geometric(rng, p);
+    if (churn_on() && wait > countdown_)
+      return {fast_forward(rng, crash), false};
+    interact();
+    elapse(wait, rng, crash);
+    return {wait, true};
   }
 
  private:
-  P protocol_;
-  std::vector<State> states_;
-  Topology topology_;
-  Rng rng_;
-  FaultSpec spec_;
-  double crash_q_ = 0.0;
-  std::uint64_t crash_countdown_ = 0;  // slots until the next crash; 0 = never
-  std::int64_t last_crashed_ = -1;
-  std::uint64_t interactions_ = 0;
-  [[no_unique_address]] Counters counters_{};
+  FaultSpec spec_{};
+  bool active_ = false;           // any knob non-zero
+  double crash_q_ = 0.0;          // per-slot crash probability churn / n
+  std::uint64_t countdown_ = 0;   // slots until the next crash; 0 = never
+  std::uint32_t churn_code_ = 0;  // encode(churn_state()), churn only
 };
 
-// Engines that inject churn outside the scheduled pair (FaultySimulation):
-// trackers following an agent-array engine must also re-read the crashed
-// agent after each step.
-template <class E>
-concept ChurnReportingEngine = requires(const E e) {
-  { e.last_crashed() } -> std::convertible_to<std::int64_t>;
-};
+// The fault-free clock: the default for kernel and shard-worker calls made
+// outside a faulted engine.
+inline constexpr FaultClock kFaultFree{};
 
 }  // namespace ppsim

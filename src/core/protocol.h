@@ -132,6 +132,14 @@ concept UnkeyedPassiveProtocol =
       { p.is_passive(s) } -> std::convertible_to<bool>;
     };
 
+// Protocols declaring any of the three null structures above: the count
+// engines keep an exact active weight for them, which is what lets them
+// certify silence and compile fault thinning into their skip steps.
+template <class P>
+concept NullStructuredProtocol = DiagonalActiveProtocol<P> ||
+                                 KeyedPassiveProtocol<P> ||
+                                 UnkeyedPassiveProtocol<P>;
+
 // --- Engine-side counters plumbing -----------------------------------------
 
 // Placeholder counters type for plain protocols (zero size in the engine).

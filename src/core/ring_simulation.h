@@ -31,10 +31,10 @@
 // start) gives O(log n) position -> arc lookup, used for the responder of
 // a boundary edge and for churn victims.
 //
-// Fault model (core/faults.h), compiled exactly:
+// Fault model (core/faults.h), compiled exactly by the same FaultClock
+// skip step as BatchSimulation's geometric path:
 //   drop   - thins the changeful-slot rate multiplicatively (a dropped
-//            active slot is indistinguishable from a null slot), exactly
-//            as in BatchSimulation::geometric_step;
+//            active slot is indistinguishable from a null slot);
 //   oneway - drawn per effective interaction; the full transition is
 //            computed (counters recorded in full, the documented
 //            convention), only the initiator's new state is applied;
@@ -129,7 +129,7 @@ class RingFenwick {
 };
 
 template <RingCompressibleProtocol P>
-class RingSimulation {
+class RingSimulation : public CountEngineLoop<RingSimulation<P>> {
  public:
   using State = typename P::State;
   using Counters = ProtocolCounters<P>;
@@ -138,31 +138,17 @@ class RingSimulation {
   // position i, with directed edges i -> (i+1) mod n. The same catalog
   // vector the agent-array engine consumes, so both engines start from
   // identical configurations per seed.
-  RingSimulation(P protocol, std::vector<State> initial, std::uint64_t seed)
-      : RingSimulation(std::move(protocol), std::move(initial), seed,
-                       FaultSpec{}) {}
-
   RingSimulation(P protocol, std::vector<State> initial, std::uint64_t seed,
-                 const FaultSpec& faults)
-      : protocol_(std::move(protocol)), rng_(seed), faults_(faults) {
+                 const FaultSpec& faults = {})
+      : protocol_(std::move(protocol)), rng_(seed) {
     n_ = protocol_.population_size();
     if (n_ < 2)
       throw std::invalid_argument("ring needs a population of >= 2 agents");
     if (initial.size() != n_)
       throw std::invalid_argument(
           "initial configuration size != population size");
-    faults_.validate();
-    faults_active_ = faults_.active();
-    if (faults_.churn > 0.0) {
-      if constexpr (!ChurnableProtocol<P>) {
-        throw std::invalid_argument(
-            "fault.churn needs a protocol with a churn_state()");
-      } else {
-        crash_q_ = faults_.crash_probability(n_);
-        churn_code_ = protocol_.encode(protocol_.churn_state());
-        crash_countdown_ = sample_geometric(rng_, crash_q_);
-      }
-    }
+    faults_ = FaultClock(protocol_, faults, /*count_compiled=*/false);
+    faults_.start(rng_);
     build(initial);
   }
 
@@ -170,7 +156,6 @@ class RingSimulation {
   P& protocol() { return protocol_; }
   const P& protocol() const { return protocol_; }
   const Counters& counters() const { return counters_; }
-  const FaultSpec& faults() const { return faults_; }
 
   std::uint64_t interactions() const { return interactions_; }
   double parallel_time() const {
@@ -208,48 +193,13 @@ class RingSimulation {
   // zero active edges and no churn to revive them.
   std::uint64_t step() {
     last_deltas_.clear();
-    const bool churn_on = crash_q_ > 0.0;
-    const std::uint64_t w = weights_.total();
-    double p = static_cast<double>(w) / static_cast<double>(n_);
-    if (faults_active_) p *= 1.0 - faults_.drop;
-    if (w == 0 || p <= 0.0) {  // silent (or drop == 1): only churn can act
-      if (!churn_on) return 0;
-      const std::uint64_t consumed = crash_fast_forward();
-      trace_.note(StrategyArm::kGeometricSkip, consumed);
-      return consumed;
-    }
-    const std::uint64_t wait = sample_geometric(rng_, p);
-    if (churn_on && wait > crash_countdown_) {
-      const std::uint64_t consumed = crash_fast_forward();
-      trace_.note(StrategyArm::kGeometricSkip, consumed);
-      return consumed;
-    }
-    interactions_ += wait;
-    if (churn_on) crash_countdown_ -= wait;
-    apply_active_edge();
-    maybe_crash_after_slot();
-    trace_.note(StrategyArm::kGeometricSkip, wait);
-    return wait;
-  }
-
-  // Runs until at least `count` interactions have elapsed (a final skip
-  // may overshoot; the overshoot is real simulated time, not error).
-  void run(std::uint64_t count) {
-    const std::uint64_t target = interactions_ + count;
-    while (interactions_ < target)
-      if (step() == 0) break;  // silent: nothing will ever change again
-  }
-
-  // Runs until done(*this) is true, checking after every configuration
-  // change (null stretches cannot flip a configuration predicate).
-  template <class Done>
-  bool run_until(Done&& done, std::uint64_t max_interactions) {
-    if (done(*this)) return true;
-    while (interactions_ < max_interactions) {
-      if (step() == 0) return done(*this);
-      if (done(*this)) return true;
-    }
-    return false;
+    const std::uint64_t slots =
+        faults_.skip(rng_, weights_.total(), static_cast<double>(n_),
+                     [&] { apply_active_edge(); }, crash())
+            .slots;
+    interactions_ += slots;
+    if (slots != 0) trace_.note(StrategyArm::kGeometricSkip, slots);
+    return slots;
   }
 
  private:
@@ -485,7 +435,17 @@ class RingSimulation {
     }
   }
 
-  // --- the effective interaction ---------------------------------------
+  // --- the effective interaction and churn ------------------------------
+
+  // End-of-slot crash callback for the fault clock: a uniform victim
+  // position, reset to the boot state by one surgery.
+  auto crash() {
+    return [this] {
+      const auto victim = static_cast<std::uint32_t>(rng_.below(n_));
+      if (arcs_[find_arc(victim)].code != faults_.churn_code())
+        set_position(victim, faults_.churn_code());
+    };
+  }
 
   void apply_active_edge() {
     const std::uint64_t w = weights_.total();
@@ -504,55 +464,16 @@ class RingSimulation {
     }
     const std::uint32_t q = pos_add(p, 1);
     const std::uint32_t ca = a.code;
-    bool one_way = false;
-    if (faults_active_ && faults_.oneway > 0.0)
-      one_way = rng_.unit() < faults_.oneway;
-    State sa = protocol_.decode(ca);
-    State sb = protocol_.decode(cb);
-    invoke_interact(protocol_, sa, sb, rng_, counters_);
-    const std::uint32_t na = protocol_.encode(sa);
-    const std::uint32_t nb = one_way ? cb : protocol_.encode(sb);
+    const auto [na, nb] = faults_.deliver(protocol_, ca, cb, rng_, counters_);
     if (na != ca) set_position(p, na);
     if (nb != cb) set_position(q, nb);
-  }
-
-  // --- churn ------------------------------------------------------------
-
-  void crash_uniform_agent() {
-    if constexpr (ChurnableProtocol<P>) {
-      const auto victim = static_cast<std::uint32_t>(rng_.below(n_));
-      const std::uint32_t old = arcs_[find_arc(victim)].code;
-      if (old != churn_code_) set_position(victim, churn_code_);
-    }
-  }
-
-  void maybe_crash_after_slot() {
-    if (crash_q_ > 0.0 && crash_countdown_ == 0) {
-      crash_uniform_agent();
-      crash_countdown_ = sample_geometric(rng_, crash_q_);
-    }
-  }
-
-  // No changeful interaction can precede the next crash: consume the
-  // countdown's null slots, crash at the countdown's own slot, redraw.
-  // Always consumes >= 1 slot, so a churning engine never reports stuck.
-  std::uint64_t crash_fast_forward() {
-    const std::uint64_t consumed = crash_countdown_;
-    interactions_ += consumed;
-    crash_countdown_ = 0;
-    maybe_crash_after_slot();
-    return consumed;
   }
 
   P protocol_;
   std::uint32_t n_ = 0;
   Rng rng_;
   Rng probe_rng_{0};  // never advanced: deterministic probes don't read it
-  FaultSpec faults_{};
-  bool faults_active_ = false;
-  double crash_q_ = 0.0;
-  std::uint32_t churn_code_ = 0;
-  std::uint64_t crash_countdown_ = 0;
+  FaultClock faults_;
   std::uint64_t interactions_ = 0;
   std::uint64_t leader_count_ = 0;
   std::vector<Arc> arcs_;

@@ -203,21 +203,18 @@ class ShardWorker {
 
   static constexpr bool kStructured = ScalarActiveWeight<P>::kStructured;
 
-  // Installs the engine's fault spec (nullptr = fault-free). Drop and
-  // one-way are per-interaction draws, so they factor cleanly through the
-  // shard decomposition: each worker applies them to its own slice of the
-  // round from its own stream. Churn is handled round-granularly by the
-  // engine (see ShardedSimulation::set_faults), never inside a worker.
-  void set_faults(const FaultSpec* faults) {
-    faults_ = (faults != nullptr && faults->active()) ? faults : nullptr;
-    kernel_.set_faults(faults_);
-  }
-
   // Rebinds the worker to this round's allocation: alloc[i] agents of
-  // codes[i], m agents total, a fresh derived RNG stream.
+  // codes[i], m agents total, a fresh derived RNG stream, and the engine's
+  // fault clock (read-only, shared by all workers; it must outlive the
+  // round). Drop and one-way are per-interaction draws, so they factor
+  // cleanly through the shard decomposition: each worker applies them to
+  // its own slice of the round from its own stream. Churn is handled
+  // round-granularly by the engine (see ShardedSimulation::set_faults),
+  // never inside a worker.
   void prepare(const P& protocol, const std::vector<std::uint32_t>& codes,
                const std::vector<std::uint64_t>& alloc, std::uint64_t m,
-               std::uint64_t seed) {
+               std::uint64_t seed, const FaultClock& faults = kFaultFree) {
+    faults_ = &faults;
     kernel_.reset_sparse();
     weight_.clear();
     net_.clear();
@@ -287,7 +284,7 @@ class ShardWorker {
   std::uint64_t step_multinomial(const P& protocol, std::uint64_t cap) {
     deltas_.clear();
     const std::uint64_t used = kernel_.run_batch_sparse(
-        protocol, m_, rng_, counters_, deltas_, cap);
+        protocol, m_, rng_, counters_, deltas_, cap, *faults_);
     for (const CountDelta& d : deltas_) {
       const std::uint64_t now = kernel_.pool().weight_of(d.code);
       const std::uint64_t old = static_cast<std::uint64_t>(
@@ -313,13 +310,12 @@ class ShardWorker {
   std::uint64_t step_geometric(const P& protocol, std::uint64_t w,
                                std::uint64_t remaining) {
     const std::uint64_t pairs = m_ * (m_ - 1);
-    // Dropping thins the changeful-slot rate multiplicatively and leaves
-    // the conditional active-pair law alone (uniform thinning), exactly as
-    // in BatchSimulation::geometric_step. sample_geometric returns 1
-    // without touching the rng when p >= 1, so the unconditional call
-    // reproduces the old saturated-weight `wait = 1` shortcut bit for bit.
-    double p = static_cast<double>(w) / static_cast<double>(pairs);
-    if (faults_ != nullptr) p *= 1.0 - faults_->drop;
+    // Dropping thins the changeful-slot rate (FaultClock::thin).
+    // sample_geometric returns 1 without touching the rng when p >= 1, so
+    // the unconditional call reproduces the old saturated-weight
+    // `wait = 1` shortcut bit for bit.
+    const double p =
+        faults_->thin(static_cast<double>(w) / static_cast<double>(pairs));
     if (p <= 0.0) {  // drop == 1: every arrival in this slice is lost
       stats_.batched += remaining;
       return remaining;
@@ -456,15 +452,7 @@ class ShardWorker {
 
   void apply_interaction(const P& protocol, std::uint32_t a,
                          std::uint32_t b) {
-    // One-way delivery is drawn per delivered interaction (the FaultSpec
-    // convention: counters record in full, the responder keeps its state).
-    const bool one_way = faults_ != nullptr && faults_->oneway > 0.0 &&
-                         rng_.unit() < faults_->oneway;
-    State sa = protocol.decode(a);
-    State sb = protocol.decode(b);
-    invoke_interact(protocol, sa, sb, rng_, counters_);
-    const std::uint32_t na = protocol.encode(sa);
-    const std::uint32_t nb = one_way ? b : protocol.encode(sb);
+    const auto [na, nb] = faults_->deliver(protocol, a, b, rng_, counters_);
     if (na != a) {
       bump(protocol, a, -1);
       bump(protocol, na, +1);
@@ -485,7 +473,7 @@ class ShardWorker {
   }
 
   MultinomialKernel<P> kernel_;    // owns the shard's occupied pool
-  const FaultSpec* faults_ = nullptr;  // non-null iff fault injection is on
+  const FaultClock* faults_ = &kFaultFree;
   ScalarActiveWeight<P> weight_;
   FlatMap64 net_;                  // code -> net delta this round
   std::vector<CountDelta> deltas_;
@@ -496,7 +484,7 @@ class ShardWorker {
 };
 
 template <ShardableProtocol P>
-class ShardedSimulation {
+class ShardedSimulation : public CountEngineLoop<ShardedSimulation<P>> {
  public:
   using State = typename P::State;
   using Counters = ProtocolCounters<P>;
@@ -562,28 +550,8 @@ class ShardedSimulation {
   // coarsening the sharded partition itself already accepts for G > 1.
   // An all-zero spec is bit-transparent.
   void set_faults(const FaultSpec& faults) {
-    faults.validate();
-    if (faults.active() && !ScalarActiveWeight<P>::kStructured)
-      throw std::invalid_argument(
-          "count-engine fault injection requires a protocol with declared "
-          "null structure (diagonal / keyed / unkeyed passive); use "
-          "engine=array");
-    faults_ = faults;
-    faults_active_ = faults.active();
-    for (auto& w : workers_state_)
-      w.set_faults(faults_active_ ? &faults_ : nullptr);
-    crash_q_ = 0.0;
-    if (faults.churn > 0.0) {
-      if constexpr (!ChurnableProtocol<P>) {
-        throw std::invalid_argument(
-            "fault.churn needs a protocol with a churn_state()");
-      } else {
-        crash_q_ = faults.crash_probability(population_size());
-        churn_code_ = protocol_.encode(protocol_.churn_state());
-      }
-    }
+    faults_ = FaultClock(protocol_, faults, /*count_compiled=*/true);
   }
-  const FaultSpec& faults() const { return faults_; }
 
   // For structured protocols: no future interaction can change anything.
   bool silent() const
@@ -597,7 +565,7 @@ class ShardedSimulation {
   // stuck.
   std::uint64_t step() {
     last_deltas_.clear();
-    const bool churn_on = crash_q_ > 0.0;
+    const bool churn_on = faults_.churn_on();
     if (provably_stuck()) {
       if (!churn_on) return 0;
       // Churn-only round: every pair is provably null, but agents still
@@ -644,7 +612,8 @@ class ShardedSimulation {
       }
       unassigned -= shard_sizes_[t];
       workers_state_[t].prepare(protocol_, occ_codes_, alloc_[t],
-                                shard_sizes_[t], derive_seed(round_base, t));
+                                shard_sizes_[t], derive_seed(round_base, t),
+                                faults_);
     }
 
     // 3. Shard phase: parallel when the round is big enough to amortize
@@ -700,26 +669,6 @@ class ShardedSimulation {
   // sharded arm (the per-shard skip-vs-batch refinement happens inside the
   // workers and is not an arm switch).
   const StrategyTrace& strategy_trace() const { return trace_; }
-
-  // Runs until at least `count` interactions have elapsed (the last round
-  // may overshoot; the overshoot is real simulated time).
-  void run(std::uint64_t count) {
-    const std::uint64_t target = interactions_ + count;
-    while (interactions_ < target)
-      if (step() == 0) break;
-  }
-
-  // Runs until done(*this), checked after every round. Returns true iff the
-  // predicate fired before `max_interactions`.
-  template <class Done>
-  bool run_until(Done&& done, std::uint64_t max_interactions) {
-    if (done(*this)) return true;
-    while (interactions_ < max_interactions) {
-      if (step() == 0) return done(*this);
-      if (done(*this)) return true;
-    }
-    return false;
-  }
 
  private:
   // Rounds below this many interactions run the shard phase inline: the
@@ -797,12 +746,14 @@ class ShardedSimulation {
   // a uniformly random agent to the boot state, applied to the merged
   // counts (and last_deltas_, so downstream trackers see them).
   void apply_round_churn(std::uint64_t slots) {
-    std::uint64_t crashes = sample_binomial(alloc_rng_, slots, crash_q_);
+    const std::uint32_t boot = faults_.churn_code();
+    std::uint64_t crashes =
+        sample_binomial(alloc_rng_, slots, faults_.crash_probability());
     for (; crashes > 0; --crashes) {
       const std::uint32_t victim = pick_uniform_agent_code();
-      if (victim == churn_code_) continue;
+      if (victim == boot) continue;
       apply_global_delta(victim, -1);
-      apply_global_delta(churn_code_, +1);
+      apply_global_delta(boot, +1);
     }
   }
 
@@ -931,10 +882,7 @@ class ShardedSimulation {
   std::vector<std::uint64_t> seg_remaining_;  // ...not yet assigned
   FlatMap64 round_net_;
   std::vector<CountDelta> last_deltas_;
-  FaultSpec faults_{};  // all-zero (and bit-transparent) unless set_faults()
-  bool faults_active_ = false;
-  double crash_q_ = 0.0;  // per-slot crash probability churn / n
-  std::uint32_t churn_code_ = 0;  // encode(churn_state()), churn only
+  FaultClock faults_;  // fault-free (and bit-transparent) unless set_faults()
   BatchStepStats stats_;
   StrategyTrace trace_;
   [[no_unique_address]] Counters counters_{};

@@ -7,7 +7,10 @@
 //
 // Simulation<P> satisfies the Engine concept of core/engine.h (and
 // AgentArrayEngine); it works for every protocol and is the ground truth
-// the count-based backend is validated against.
+// the count-based backend is validated against — with or without fault
+// injection (core/faults.h): an optional FaultSpec weaves the per-slot
+// fault law into the pair step as plain Bernoulli draws, the independent
+// reference the count engines' compiled fault laws are tested against.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/faults.h"
 #include "core/protocol.h"
 #include "core/rng.h"
 #include "core/scheduler.h"
@@ -28,16 +32,20 @@ class Simulation {
   using State = typename P::State;
   using Counters = ProtocolCounters<P>;
 
-  Simulation(P protocol, std::vector<State> initial, std::uint64_t seed)
+  Simulation(P protocol, std::vector<State> initial, std::uint64_t seed,
+             Topology topology)
       : Simulation(std::move(protocol), std::move(initial), seed,
-                   Topology()) {}
+                   FaultSpec{}, std::move(topology)) {}
 
   // Interaction-graph variant (core/topology.h): pairs are scheduled
   // uniformly over the topology's directed edges. The default (and an
   // explicit complete topology) replays UniformScheduler's draws bit for
-  // bit, so the classical engine is the special case, not a sibling.
+  // bit, so the classical engine is the special case, not a sibling. The
+  // fault law composes unchanged — drop / oneway / churn act on the
+  // scheduled slot whatever graph produced it — and an all-zero FaultSpec
+  // draws nothing extra.
   Simulation(P protocol, std::vector<State> initial, std::uint64_t seed,
-             Topology topology)
+             const FaultSpec& faults = {}, Topology topology = Topology())
       : protocol_(std::move(protocol)),
         states_(std::move(initial)),
         topology_(topology.population_size() == 0
@@ -50,6 +58,8 @@ class Simulation {
     if (topology_.population_size() != protocol_.population_size())
       throw std::invalid_argument(
           "topology population size != protocol population size");
+    faults_ = FaultClock(protocol_, faults, /*count_compiled=*/false);
+    faults_.start(rng_);
   }
 
   std::uint32_t population_size() const {
@@ -83,12 +93,43 @@ class Simulation {
     return counts;
   }
 
-  // Executes one interaction and returns the pair that interacted.
+  // Agent crashed by the last step's end-of-slot churn draw, or -1 (always
+  // -1 with churn off). At most one agent crashes per slot. A crash touches
+  // an agent outside the returned pair, so trackers re-read it too.
+  std::int64_t last_crashed() const { return last_crashed_; }
+
+  // Executes one interaction slot and returns the pair scheduled in it.
+  // Under faults the slot follows the per-slot law of core/faults.h: the
+  // interaction is lost with prob drop, else its reply is lost with prob
+  // oneway (the full transition runs; only the initiator keeps its new
+  // state), and the slot ends with the churn countdown.
   AgentPair step() {
     const AgentPair pair = topology_.sample(rng_);
-    invoke_interact(protocol_, states_[pair.initiator],
-                    states_[pair.responder], rng_, counters_);
     ++interactions_;
+    if (!faults_.active()) {
+      invoke_interact(protocol_, states_[pair.initiator],
+                      states_[pair.responder], rng_, counters_);
+      return pair;
+    }
+    if (!faults_.drops(rng_)) {
+      if (faults_.one_way(rng_)) {
+        State a = states_[pair.initiator];
+        State b = states_[pair.responder];
+        invoke_interact(protocol_, a, b, rng_, counters_);
+        states_[pair.initiator] = a;  // the responder's reply is lost
+      } else {
+        invoke_interact(protocol_, states_[pair.initiator],
+                        states_[pair.responder], rng_, counters_);
+      }
+    }
+    last_crashed_ = -1;
+    faults_.elapse(1, rng_, [&] {
+      const auto victim =
+          static_cast<std::uint32_t>(rng_.below(population_size()));
+      if constexpr (ChurnableProtocol<P>)
+        states_[victim] = protocol_.churn_state();
+      last_crashed_ = victim;
+    });
     return pair;
   }
 
@@ -113,6 +154,8 @@ class Simulation {
   std::vector<State> states_;
   Topology topology_;
   Rng rng_;
+  FaultClock faults_;
+  std::int64_t last_crashed_ = -1;
   std::uint64_t interactions_ = 0;
   [[no_unique_address]] Counters counters_{};
 };

@@ -87,7 +87,7 @@ namespace ppsim {
 inline constexpr double kDefaultTauEps = 0.05;
 
 template <EnumerableProtocol P>
-class TauLeapSimulation {
+class TauLeapSimulation : public CountEngineLoop<TauLeapSimulation<P>> {
   static_assert(DeterministicProtocol<P>,
                 "tau-leaping applies cached transitions in bulk; interact() "
                 "must be deterministic");
@@ -214,28 +214,6 @@ class TauLeapSimulation {
     ++leaps_;
     trace_.note(StrategyArm::kTauLeap, leap);
     return leap;
-  }
-
-  // Runs until at least `count` interactions have elapsed (a final leap
-  // may overshoot; the overshoot is real simulated time, not error).
-  void run(std::uint64_t count) {
-    const std::uint64_t target = interactions_ + count;
-    while (interactions_ < target)
-      if (step() == 0) break;  // silent: nothing will ever change again
-  }
-
-  // Runs until done(*this) is true, checking after every committed leap
-  // (the predicate is evaluated at leap granularity: a flip inside a leap
-  // is observed at the leap's end). Returns true iff the predicate fired
-  // before `max_interactions`.
-  template <class Done>
-  bool run_until(Done&& done, std::uint64_t max_interactions) {
-    if (done(*this)) return true;
-    while (interactions_ < max_interactions) {
-      if (step() == 0) return done(*this);
-      if (done(*this)) return true;
-    }
-    return false;
   }
 
  private:

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analysis/convergence.h"
+#include "analysis/experiments.h"
 #include "core/batch_simulation.h"
 #include "core/rng.h"
 #include "core/simulation.h"
@@ -197,11 +198,16 @@ class BatchEquivalence : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(BatchEquivalence, AgreesWithArrayBackendOnConvergenceTime) {
   const std::uint32_t n = GetParam();
   const std::uint32_t seeds = 30;
-  std::vector<double> array_times, batch_times;
-  for (std::uint32_t i = 0; i < seeds; ++i) {
-    array_times.push_back(array_backend_time(n, derive_seed(1000 + n, i)));
-    batch_times.push_back(batch_backend_time(n, derive_seed(2000 + n, i)));
-  }
+  // Fanned out over run_trials_parallel: sample i still runs with
+  // derive_seed(base, i), so the samples are the serial loop's, bit for bit.
+  const std::vector<double> array_times =
+      run_trials_parallel(seeds, 1000 + n, [&](std::uint64_t seed) {
+        return array_backend_time(n, seed);
+      });
+  const std::vector<double> batch_times =
+      run_trials_parallel(seeds, 2000 + n, [&](std::uint64_t seed) {
+        return batch_backend_time(n, seed);
+      });
   expect_overlapping_ci(summarize(array_times), summarize(batch_times));
 }
 

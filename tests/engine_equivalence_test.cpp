@@ -246,19 +246,28 @@ class OptimalSilentBackendEquivalence
 TEST_P(OptimalSilentBackendEquivalence, OverlappingStabilizationCIs) {
   const std::uint32_t n = GetParam();
   const std::uint32_t seeds = 30;
-  std::vector<double> array_times, skip_times, multi_times, auto_times,
-      sharded_times;
-  for (std::uint32_t i = 0; i < seeds; ++i) {
-    array_times.push_back(optimal_array_time(n, derive_seed(5000 + n, i)));
-    skip_times.push_back(optimal_batch_time(n, derive_seed(6000 + n, i),
-                                            BatchStrategy::kGeometricSkip));
-    multi_times.push_back(optimal_batch_time(n, derive_seed(6500 + n, i),
-                                             BatchStrategy::kMultinomial));
-    auto_times.push_back(optimal_batch_time(n, derive_seed(6800 + n, i),
-                                            BatchStrategy::kAuto));
-    sharded_times.push_back(
-        optimal_sharded_time(n, derive_seed(7100 + n, i), /*shards=*/4));
-  }
+  // Each sample list fans out over run_trials_parallel: sample i still runs
+  // with derive_seed(base, i), so the samples are the serial loop's, bit
+  // for bit, whatever the thread count.
+  auto batch_times = [&](std::uint64_t base, BatchStrategy strategy) {
+    return run_trials_parallel(seeds, base, [&](std::uint64_t seed) {
+      return optimal_batch_time(n, seed, strategy);
+    });
+  };
+  const std::vector<double> array_times =
+      run_trials_parallel(seeds, 5000 + n, [&](std::uint64_t seed) {
+        return optimal_array_time(n, seed);
+      });
+  const std::vector<double> skip_times =
+      batch_times(6000 + n, BatchStrategy::kGeometricSkip);
+  const std::vector<double> multi_times =
+      batch_times(6500 + n, BatchStrategy::kMultinomial);
+  const std::vector<double> auto_times =
+      batch_times(6800 + n, BatchStrategy::kAuto);
+  const std::vector<double> sharded_times =
+      run_trials_parallel(seeds, 7100 + n, [&](std::uint64_t seed) {
+        return optimal_sharded_time(n, seed, /*shards=*/4);
+      });
   const double widen = stat_harness::family_widen(7);
   const Summary array = summarize(array_times);
   const Summary skip = summarize(skip_times);

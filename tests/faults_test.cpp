@@ -1,8 +1,8 @@
 // Tests for the fault-injection scheduler layer (core/faults.h) and its
 // native compilations on the count engines:
 //
-//  * contract checks: ChurnableProtocol / ChurnReportingEngine concepts,
-//    FaultySimulation is a full AgentArrayEngine;
+//  * contract checks: ChurnableProtocol concept, Simulation is a full
+//    AgentArrayEngine;
 //  * bit-transparency: an all-zero FaultSpec (fault.drop=0) reproduces the
 //    undecorated engine bit for bit on array, geometric_skip, multinomial
 //    and sharded — the fault layer consumes zero extra randomness;
@@ -56,14 +56,10 @@ static_assert(ChurnableProtocol<SilentNStateSSR>);
 static_assert(ChurnableProtocol<OptimalSilentSSR>);
 static_assert(!ChurnableProtocol<Obs25SSLE>);  // no boot state declared
 
-static_assert(Engine<FaultySimulation<SilentNStateSSR>>);
-static_assert(Engine<FaultySimulation<OptimalSilentSSR>>);
-static_assert(AgentArrayEngine<FaultySimulation<OptimalSilentSSR>>);
-static_assert(!CountEngine<FaultySimulation<OptimalSilentSSR>>);
-
-static_assert(ChurnReportingEngine<FaultySimulation<OptimalSilentSSR>>);
-static_assert(!ChurnReportingEngine<Simulation<OptimalSilentSSR>>);
-static_assert(!ChurnReportingEngine<BatchSimulation<OptimalSilentSSR>>);
+static_assert(Engine<Simulation<SilentNStateSSR>>);
+static_assert(Engine<Simulation<OptimalSilentSSR>>);
+static_assert(AgentArrayEngine<Simulation<OptimalSilentSSR>>);
+static_assert(!CountEngine<Simulation<OptimalSilentSSR>>);
 
 // --- Helpers ----------------------------------------------------------------
 
@@ -91,7 +87,7 @@ TEST(FaultTransparency, ZeroSpecFaultyArrayMatchesPlainArrayBitForBit) {
   const SilentNStateSSR proto(n);
   const auto init = silent_nstate_worst_config(n);
   Simulation<SilentNStateSSR> plain(proto, init, 4242);
-  FaultySimulation<SilentNStateSSR> faulty(proto, init, 4242, FaultSpec{});
+  Simulation<SilentNStateSSR> faulty(proto, init, 4242, FaultSpec{});
   for (int k = 0; k < 20000; ++k) {
     const AgentPair a = plain.step();
     const AgentPair b = faulty.step();
@@ -111,7 +107,7 @@ TEST(FaultTransparency, ZeroSpecFaultyArrayMatchesOnRngDrawingProtocol) {
   const auto& inits = obs25_inits();
   const auto init = inits.agents(proto, inits.default_name(), 7);
   Simulation<Obs25SSLE> plain(proto, init, 99);
-  FaultySimulation<Obs25SSLE> faulty(proto, init, 99, FaultSpec{});
+  Simulation<Obs25SSLE> faulty(proto, init, 99, FaultSpec{});
   plain.run(5000);
   faulty.run(5000);
   EXPECT_EQ(counts_of(proto, plain.states()),
@@ -243,7 +239,7 @@ GoldenStream run_golden(const std::string& engine, const std::string& knob) {
   const auto agents =
       optimal_silent_config(proto.params(), OsAdversary::kDuplicateRank, 5);
   if (engine == "array") {
-    FaultySimulation<OptimalSilentSSR> sim(proto, agents, seed, spec);
+    Simulation<OptimalSilentSSR> sim(proto, agents, seed, spec);
     GoldenStream out;
     for (int k = 0; k < 200; ++k) {
       sim.run(1000);
@@ -323,7 +319,7 @@ TEST(FaultDegenerate, DropOneFreezesArrayConfiguration) {
   const auto init = silent_nstate_worst_config(n);
   FaultSpec spec;
   spec.drop = 1.0;
-  FaultySimulation<SilentNStateSSR> sim(proto, init, 11, spec);
+  Simulation<SilentNStateSSR> sim(proto, init, 11, spec);
   sim.run(5000);
   EXPECT_EQ(sim.interactions(), 5000u);
   for (std::uint32_t i = 0; i < n; ++i)
@@ -387,7 +383,7 @@ TEST(FaultDegenerate, ChurnConservesPopulationOnEveryEngine) {
   FaultSpec spec;
   spec.churn = 4.0;  // one crash every ~16 slots at n=64: plenty of churn
   {
-    FaultySimulation<OptimalSilentSSR> sim(proto, agents, 51, spec);
+    Simulation<OptimalSilentSSR> sim(proto, agents, 51, spec);
     bool crashed = false;
     for (int k = 0; k < 20000; ++k) {
       sim.step();
@@ -454,7 +450,7 @@ TEST(FaultErrors, ChurnAboveNIsRejectedByTheEngines) {
   const auto init = silent_nstate_worst_config(n);
   FaultSpec spec;
   spec.churn = 20.0;  // q = churn / n > 1: more than one crash per slot
-  EXPECT_THROW(FaultySimulation<SilentNStateSSR>(proto, init, 1, spec),
+  EXPECT_THROW(Simulation<SilentNStateSSR>(proto, init, 1, spec),
                std::invalid_argument);
   BatchSimulation<SilentNStateSSR> sim(proto, counts_of(proto, init), 1);
   EXPECT_THROW(sim.set_faults(spec), std::invalid_argument);
@@ -465,7 +461,7 @@ TEST(FaultErrors, ChurnNeedsAChurnState) {
   const auto& inits = obs25_inits();
   FaultSpec spec;
   spec.churn = 0.5;
-  EXPECT_THROW(FaultySimulation<Obs25SSLE>(
+  EXPECT_THROW(Simulation<Obs25SSLE>(
                    proto, inits.agents(proto, inits.default_name(), 1), 1,
                    spec),
                std::invalid_argument);
@@ -625,7 +621,7 @@ TEST(FaultHeld, FaultFreeSilentRunHoldsForeverAndFails) {
 //
 // The acceptance check for the count-engine fault compilations: with
 // faults active, every strategy must still measure the same distribution
-// as the FaultySimulation ground truth. 27 simultaneous CI-overlap
+// as the Simulation ground truth. 27 simultaneous CI-overlap
 // comparisons across the two suites: Bonferroni widening via
 // stat_harness::family_widen.
 

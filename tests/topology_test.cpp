@@ -222,8 +222,8 @@ TEST(CompleteTransparency, PairedStepUnderFaults) {
   const OneWayEpidemic proto(n);
   std::vector<OneWayEpidemic::State> init(n);
   init[0].infected = true;
-  FaultySimulation<OneWayEpidemic> plain(proto, init, 9, faults);
-  FaultySimulation<OneWayEpidemic> topo(proto, init, 9, faults,
+  Simulation<OneWayEpidemic> plain(proto, init, 9, faults);
+  Simulation<OneWayEpidemic> topo(proto, init, 9, faults,
                                         Topology::complete(n));
   for (int k = 0; k < 5000; ++k) {
     const AgentPair x = plain.step();
